@@ -11,8 +11,15 @@
 //! This driver parallelizes the dominant phases (primitive recovery, flux
 //! evaluation, predictor/corrector updates) using the V5 kernel arithmetic;
 //! boundary fills stay serial (they are O(N) against the O(N^2) interior).
-//! Results are bitwise identical to the serial V5 solver — row partitioning
-//! changes no arithmetic — which the tests assert.
+//! A step opens 12 regions, six per operator: prims, flux, predictor,
+//! prims, flux, corrector, each update covering all four conserved
+//! components. The corrector updates `field` in place, as the serial
+//! corrector does: it reads each point only where it writes it, so the
+//! bands stay disjoint without a copy of the field. The pool's workers are
+//! resident (spawned on the first step, joined on drop), and the radius
+//! tables are built once, so a steady-state step allocates nothing.
+//! Results are bitwise identical to the serial V5 solver — row
+//! partitioning changes no arithmetic — which the tests assert.
 
 use crate::bc;
 use crate::config::SolverConfig;
@@ -23,6 +30,7 @@ use crate::physics;
 use crate::scheme::Variant;
 use ns_numerics::{Array2, GasModel};
 use rayon::prelude::*;
+use rayon::ChunksMut;
 
 /// Shared-memory solver over the whole grid with a dedicated Rayon pool.
 pub struct SharedSolver {
@@ -40,7 +48,14 @@ pub struct SharedSolver {
     /// FLOP ledger.
     pub ledger: FlopLedger,
     dt: f64,
+    radii: Radii,
     pool: rayon::ThreadPool,
+}
+
+/// Radius `r_j` of every radial row and its reciprocal, built once.
+struct Radii {
+    r: Vec<f64>,
+    inv_r: Vec<f64>,
 }
 
 impl SharedSolver {
@@ -62,7 +77,9 @@ impl SharedSolver {
         let dt = cfg.time_step();
         let mut ledger = FlopLedger::default();
         bc::apply_inflow(&mut field, &cfg, &gas, 0.0, &mut ledger);
-        Self { cfg, gas, field, ws, t: 0.0, nstep: 0, ledger, dt, pool }
+        let r: Vec<f64> = (0..field.nr()).map(|j| field.patch.r(j)).collect();
+        let radii = Radii { inv_r: r.iter().map(|&r| 1.0 / r).collect(), r };
+        Self { cfg, gas, field, ws, t: 0.0, nstep: 0, ledger, dt, radii, pool }
     }
 
     /// Effective gas model.
@@ -86,14 +103,14 @@ impl SharedSolver {
         let dt = self.dt;
         let t = self.t;
         let even = self.nstep.is_multiple_of(2);
-        let Self { gas, field, ws, ledger, pool, .. } = self;
+        let Self { gas, field, ws, ledger, radii, pool, .. } = self;
         pool.install(|| {
             if even {
-                par_r_operator(Variant::L1, field, ws, &cfg, gas, dt, ledger);
-                par_x_operator(Variant::L1, field, ws, &cfg, gas, t, dt, ledger);
+                par_r_operator(Variant::L1, field, ws, &cfg, gas, radii, dt, ledger);
+                par_x_operator(Variant::L1, field, ws, &cfg, gas, radii, t, dt, ledger);
             } else {
-                par_x_operator(Variant::L2, field, ws, &cfg, gas, t, dt, ledger);
-                par_r_operator(Variant::L2, field, ws, &cfg, gas, dt, ledger);
+                par_x_operator(Variant::L2, field, ws, &cfg, gas, radii, t, dt, ledger);
+                par_r_operator(Variant::L2, field, ws, &cfg, gas, radii, dt, ledger);
             }
             bc::apply_inflow(field, &cfg, gas, t + dt, ledger);
             bc::axis_regularize(field, gas, ledger);
@@ -110,34 +127,29 @@ impl SharedSolver {
     }
 }
 
-/// Collect the interior row band `(raw index, row slice)` of a plane.
-fn band(a: &mut Array2, nxl: usize) -> Vec<(usize, &mut [f64])> {
+/// Rows `lo..hi` of a plane, as a parallel iterator of row slices.
+fn rows(a: &mut Array2, lo: usize, hi: usize) -> ChunksMut<'_, f64> {
     let nj = a.nj();
-    a.as_mut_slice().chunks_mut(nj).enumerate().skip(NG).take(nxl).collect()
+    a.as_mut_slice()[lo * nj..hi * nj].par_chunks_mut(nj)
 }
 
 /// Parallel primitive recovery (row bands over the axial index); identical
 /// arithmetic to the serial V5 kernel.
-fn par_prims(field: &Field, prim: &mut PrimField, gas: &GasModel, ledger: &mut FlopLedger) {
+fn par_prims(field: &Field, prim: &mut PrimField, gas: &GasModel, inv_r: &[f64], ledger: &mut FlopLedger) {
     let (nxl, nr) = (field.nxl(), field.nr());
     let gm1 = gas.gamma - 1.0;
     let inv_rgas = 1.0 / gas.r_gas;
-    let inv_r: Vec<f64> = (0..nr).map(|j| 1.0 / field.patch.r(j)).collect();
+    let (lo, hi) = (NG, NG + nxl);
+    let PrimField { rho, u, v, p, t } = prim;
 
-    let mut rho_rows = band(&mut prim.rho, nxl);
-    let mut u_rows = band(&mut prim.u, nxl);
-    let mut v_rows = band(&mut prim.v, nxl);
-    let mut p_rows = band(&mut prim.p, nxl);
-    let mut t_rows = band(&mut prim.t, nxl);
-
-    rho_rows
-        .par_iter_mut()
-        .zip(u_rows.par_iter_mut())
-        .zip(v_rows.par_iter_mut())
-        .zip(p_rows.par_iter_mut())
-        .zip(t_rows.par_iter_mut())
-        .for_each(|(((((ii, rho_r), (_, u_r)), (_, v_r)), (_, p_r)), (_, t_r))| {
-            let ii = *ii;
+    rows(rho, lo, hi)
+        .zip(rows(u, lo, hi))
+        .zip(rows(v, lo, hi))
+        .zip(rows(p, lo, hi))
+        .zip(rows(t, lo, hi))
+        .enumerate()
+        .for_each(|(k, ((((rho_r, u_r), v_r), p_r), t_r))| {
+            let ii = lo + k;
             let q0 = field.q[0].row(ii);
             let q1 = field.q[1].row(ii);
             let q2 = field.q[2].row(ii);
@@ -253,37 +265,27 @@ fn par_flux(
     patch: &Patch,
     edges: EdgeFlags,
     gas: &GasModel,
+    radii: &Radii,
     flux: &mut FluxField,
     src: Option<&mut Array2>,
     ledger: &mut FlopLedger,
 ) {
     let (nxl, nr) = (patch.nxl, patch.nr());
-    let r_of: Vec<f64> = (0..nr).map(|j| patch.r(j)).collect();
-    let inv_r: Vec<f64> = r_of.iter().map(|&r| 1.0 / r).collect();
+    let (lo, hi) = (NG, NG + nxl);
     let viscous = !gas.is_inviscid();
+    let row = |ii: usize, out: [&mut [f64]; 4], s: Option<&mut [f64]>| {
+        flux_row(dir, prim, patch, edges, gas, &radii.r, &radii.inv_r, ii, out, s);
+    };
 
     let [c0, c1, c2, c3] = &mut flux.c;
-    let mut f0 = band(c0, nxl);
-    let mut f1 = band(c1, nxl);
-    let mut f2 = band(c2, nxl);
-    let mut f3 = band(c3, nxl);
-
+    let bands = rows(c0, lo, hi).zip(rows(c1, lo, hi)).zip(rows(c2, lo, hi)).zip(rows(c3, lo, hi));
     if let Some(sp) = src {
-        let mut srows = band(sp, nxl);
-        f0.par_iter_mut()
-            .zip(f1.par_iter_mut())
-            .zip(f2.par_iter_mut())
-            .zip(f3.par_iter_mut())
-            .zip(srows.par_iter_mut())
-            .for_each(|(((((ii, a), (_, b)), (_, c)), (_, d)), (_, s))| {
-                flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, *ii, [a, b, c, d], Some(s));
-            });
+        bands
+            .zip(rows(sp, lo, hi))
+            .enumerate()
+            .for_each(|(k, ((((a, b), c), d), s))| row(lo + k, [a, b, c, d], Some(s)));
     } else {
-        f0.par_iter_mut().zip(f1.par_iter_mut()).zip(f2.par_iter_mut()).zip(f3.par_iter_mut()).for_each(
-            |((((ii, a), (_, b)), (_, c)), (_, d))| {
-                flux_row(dir, prim, patch, edges, gas, &r_of, &inv_r, *ii, [a, b, c, d], None);
-            },
-        );
+        bands.enumerate().for_each(|(k, (((a, b), c), d))| row(lo + k, [a, b, c, d], None));
     }
 
     let pts = (nxl * nr) as u64;
@@ -293,13 +295,23 @@ fn par_flux(
     }
 }
 
-/// Parallel x-direction predictor/corrector band update.
+/// The half of a MacCormack operator an update performs.
+#[derive(Clone, Copy)]
+enum Half<'a> {
+    /// `qbar = q - lam d`, from the current solution `q`.
+    Predictor(&'a Field),
+    /// `q = (q + qbar - lam d) / 2` in place, from the predicted `qbar`.
+    /// Each point of `q` is read only where it is written, exactly as in
+    /// the serial corrector, so the row bands stay disjoint.
+    Corrector(&'a Field),
+}
+
+/// Parallel x-direction predictor/corrector update of all four components:
+/// one region over the row band `istart..iend`.
 #[allow(clippy::too_many_arguments)]
 fn par_update_x(
     forward: bool,
-    corrector: bool,
-    base: &Field,
-    qbar_in: Option<&Field>,
+    half: Half<'_>,
     flux: &FluxField,
     out: &mut Field,
     istart: usize,
@@ -307,39 +319,36 @@ fn par_update_x(
     nr: usize,
     lam: f64,
 ) {
-    let nj = out.q[0].nj();
-    for c in 0..4 {
-        let fc = &flux.c[c];
-        let bq = &base.q[c];
-        let pq = qbar_in.map(|f| &f.q[c]);
-        let mut rows: Vec<(usize, &mut [f64])> =
-            out.q[c].as_mut_slice().chunks_mut(nj).enumerate().skip(NG + istart).take(iend - istart).collect();
-        rows.par_iter_mut().for_each(|(ii, row)| {
-            let ii = *ii;
-            for j in 0..nr {
-                let jj = j + NG;
-                let d = if forward {
-                    7.0 * (fc.at(ii + 1, jj) - fc.at(ii, jj)) - (fc.at(ii + 2, jj) - fc.at(ii + 1, jj))
-                } else {
-                    7.0 * (fc.at(ii, jj) - fc.at(ii - 1, jj)) - (fc.at(ii - 1, jj) - fc.at(ii - 2, jj))
-                };
-                row[jj] = if corrector {
-                    0.5 * (bq.at(ii, jj) + pq.unwrap().at(ii, jj) - lam * d)
-                } else {
-                    bq.at(ii, jj) - lam * d
-                };
+    let (lo, hi) = (NG + istart, NG + iend);
+    let [o0, o1, o2, o3] = &mut out.q;
+    rows(o0, lo, hi).zip(rows(o1, lo, hi)).zip(rows(o2, lo, hi)).zip(rows(o3, lo, hi)).enumerate().for_each(
+        |(k, (((r0, r1), r2), r3))| {
+            let ii = lo + k;
+            for (c, row) in [r0, r1, r2, r3].into_iter().enumerate() {
+                let fc = &flux.c[c];
+                for j in 0..nr {
+                    let jj = j + NG;
+                    let d = if forward {
+                        7.0 * (fc.at(ii + 1, jj) - fc.at(ii, jj)) - (fc.at(ii + 2, jj) - fc.at(ii + 1, jj))
+                    } else {
+                        7.0 * (fc.at(ii, jj) - fc.at(ii - 1, jj)) - (fc.at(ii - 1, jj) - fc.at(ii - 2, jj))
+                    };
+                    row[jj] = match half {
+                        Half::Predictor(q) => q.q[c].at(ii, jj) - lam * d,
+                        Half::Corrector(qbar) => 0.5 * (row[jj] + qbar.q[c].at(ii, jj) - lam * d),
+                    };
+                }
             }
-        });
-    }
+        },
+    );
 }
 
-/// Parallel r-direction predictor/corrector band update (with source term).
+/// Parallel r-direction predictor/corrector update (with source term) of
+/// all four components: one region over the interior rows.
 #[allow(clippy::too_many_arguments)]
 fn par_update_r(
     forward: bool,
-    corrector: bool,
-    base: &Field,
-    qbar_in: Option<&Field>,
+    half: Half<'_>,
     flux: &FluxField,
     src: &Array2,
     out: &mut Field,
@@ -348,31 +357,29 @@ fn par_update_r(
     lam: f64,
     dt: f64,
 ) {
-    let nj = out.q[0].nj();
-    for c in 0..4 {
-        let fc = &flux.c[c];
-        let bq = &base.q[c];
-        let pq = qbar_in.map(|f| &f.q[c]);
-        let mut rows: Vec<(usize, &mut [f64])> =
-            out.q[c].as_mut_slice().chunks_mut(nj).enumerate().skip(NG).take(nxl).collect();
-        rows.par_iter_mut().for_each(|(ii, row)| {
-            let ii = *ii;
-            for j in 0..nr - 1 {
-                let jj = j + NG;
-                let d = if forward {
-                    7.0 * (fc.at(ii, jj + 1) - fc.at(ii, jj)) - (fc.at(ii, jj + 2) - fc.at(ii, jj + 1))
-                } else {
-                    7.0 * (fc.at(ii, jj) - fc.at(ii, jj - 1)) - (fc.at(ii, jj - 1) - fc.at(ii, jj - 2))
-                };
-                let sc = if c == 2 { dt * src.at(ii, jj) } else { 0.0 };
-                row[jj] = if corrector {
-                    0.5 * (bq.at(ii, jj) + pq.unwrap().at(ii, jj) - lam * d + sc)
-                } else {
-                    bq.at(ii, jj) - lam * d + sc
-                };
+    let (lo, hi) = (NG, NG + nxl);
+    let [o0, o1, o2, o3] = &mut out.q;
+    rows(o0, lo, hi).zip(rows(o1, lo, hi)).zip(rows(o2, lo, hi)).zip(rows(o3, lo, hi)).enumerate().for_each(
+        |(k, (((r0, r1), r2), r3))| {
+            let ii = lo + k;
+            for (c, row) in [r0, r1, r2, r3].into_iter().enumerate() {
+                let fc = &flux.c[c];
+                for j in 0..nr - 1 {
+                    let jj = j + NG;
+                    let d = if forward {
+                        7.0 * (fc.at(ii, jj + 1) - fc.at(ii, jj)) - (fc.at(ii, jj + 2) - fc.at(ii, jj + 1))
+                    } else {
+                        7.0 * (fc.at(ii, jj) - fc.at(ii, jj - 1)) - (fc.at(ii, jj - 1) - fc.at(ii, jj - 2))
+                    };
+                    let sc = if c == 2 { dt * src.at(ii, jj) } else { 0.0 };
+                    row[jj] = match half {
+                        Half::Predictor(q) => q.q[c].at(ii, jj) - lam * d + sc,
+                        Half::Corrector(qbar) => 0.5 * (row[jj] + qbar.q[c].at(ii, jj) - lam * d + sc),
+                    };
+                }
             }
-        });
-    }
+        },
+    );
 }
 
 /// Parallel axial operator (mirrors `scheme::x_operator`; whole grid only).
@@ -383,6 +390,7 @@ fn par_x_operator(
     ws: &mut Workspace,
     cfg: &SolverConfig,
     gas: &GasModel,
+    radii: &Radii,
     t: f64,
     dt: f64,
     ledger: &mut FlopLedger,
@@ -392,56 +400,42 @@ fn par_x_operator(
     let (nxl, nr) = (patch.nxl, patch.nr());
     let lam = dt / (6.0 * patch.grid.dx);
 
-    par_prims(field, &mut ws.prim, gas, ledger);
+    par_prims(field, &mut ws.prim, gas, &radii.inv_r, ledger);
     bc::mirror_prims_axis(&mut ws.prim);
     bc::extrap_prims_top(&mut ws.prim, nr);
-    par_flux(FluxDir::X, &ws.prim, &patch, edges, gas, &mut ws.flux, None, ledger);
+    par_flux(FluxDir::X, &ws.prim, &patch, edges, gas, radii, &mut ws.flux, None, ledger);
     bc::extrap_flux_x(&mut ws.flux, nxl, nr, edges.left, edges.right, ledger);
     bc::outflow_characteristic(field, &ws.prim, gas, dt, ledger);
 
     let (istart, iend) = (1, nxl - 1);
-    par_update_x(variant == Variant::L1, false, field, None, &ws.flux, &mut ws.qbar, istart, iend, nr, lam);
+    par_update_x(variant == Variant::L1, Half::Predictor(field), &ws.flux, &mut ws.qbar, istart, iend, nr, lam);
     ledger.update += ((iend - istart) * nr) as u64 * opcount::COST_PREDICTOR;
     bc::apply_inflow(&mut ws.qbar, cfg, gas, t + dt, ledger);
     for j in 0..nr {
         ws.qbar.set_qvec(nxl - 1, j, field.qvec(nxl - 1, j));
     }
 
-    par_prims(&ws.qbar, &mut ws.prim, gas, ledger);
+    par_prims(&ws.qbar, &mut ws.prim, gas, &radii.inv_r, ledger);
     bc::mirror_prims_axis(&mut ws.prim);
     bc::extrap_prims_top(&mut ws.prim, nr);
-    par_flux(FluxDir::X, &ws.prim, &patch, edges, gas, &mut ws.flux_bar, None, ledger);
+    par_flux(FluxDir::X, &ws.prim, &patch, edges, gas, radii, &mut ws.flux_bar, None, ledger);
     bc::extrap_flux_x(&mut ws.flux_bar, nxl, nr, edges.left, edges.right, ledger);
 
-    // The serial corrector updates in place, reading `field` only at the
-    // point it writes; the parallel bands need disjoint mutable access, so
-    // stage through a double buffer and swap.
-    let mut new_field = field.clone();
-    par_update_x(
-        variant == Variant::L2,
-        true,
-        field,
-        Some(&ws.qbar),
-        &ws.flux_bar,
-        &mut new_field,
-        istart,
-        iend,
-        nr,
-        lam,
-    );
+    par_update_x(variant == Variant::L2, Half::Corrector(&ws.qbar), &ws.flux_bar, field, istart, iend, nr, lam);
     ledger.update += ((iend - istart) * nr) as u64 * opcount::COST_CORRECTOR;
-    std::mem::swap(field, &mut new_field);
 
     bc::apply_inflow(field, cfg, gas, t + dt, ledger);
 }
 
 /// Parallel radial operator (mirrors `scheme::r_operator`).
+#[allow(clippy::too_many_arguments)]
 fn par_r_operator(
     variant: Variant,
     field: &mut Field,
     ws: &mut Workspace,
     cfg: &SolverConfig,
     gas: &GasModel,
+    radii: &Radii,
     dt: f64,
     ledger: &mut FlopLedger,
 ) {
@@ -452,46 +446,26 @@ fn par_r_operator(
     let (nxl, nr) = (patch.nxl, patch.nr());
     let lam = dt / (6.0 * patch.grid.dr);
 
-    par_prims(field, &mut ws.prim, gas, ledger);
+    par_prims(field, &mut ws.prim, gas, &radii.inv_r, ledger);
     bc::mirror_prims_axis(&mut ws.prim);
     bc::extrap_prims_top(&mut ws.prim, nr);
-    par_flux(FluxDir::R, &ws.prim, &patch, edges, gas, &mut ws.flux, Some(&mut ws.src), ledger);
+    par_flux(FluxDir::R, &ws.prim, &patch, edges, gas, radii, &mut ws.flux, Some(&mut ws.src), ledger);
     bc::fill_rflux_ghosts(&mut ws.flux, nxl, nr, ledger);
 
-    {
-        let Workspace { flux, src, qbar, .. } = ws;
-        par_update_r(variant == Variant::L1, false, field, None, flux, src, qbar, nxl, nr, lam, dt);
-    }
+    par_update_r(variant == Variant::L1, Half::Predictor(field), &ws.flux, &ws.src, &mut ws.qbar, nxl, nr, lam, dt);
     ledger.update += (nxl * (nr - 1)) as u64 * (opcount::COST_PREDICTOR + 2);
     for i in 0..nxl {
         ws.qbar.set_qvec(i, nr - 1, field.qvec(i, nr - 1));
     }
 
-    par_prims(&ws.qbar, &mut ws.prim, gas, ledger);
+    par_prims(&ws.qbar, &mut ws.prim, gas, &radii.inv_r, ledger);
     bc::mirror_prims_axis(&mut ws.prim);
     bc::extrap_prims_top(&mut ws.prim, nr);
-    par_flux(FluxDir::R, &ws.prim, &patch, edges, gas, &mut ws.flux_bar, Some(&mut ws.src_bar), ledger);
+    par_flux(FluxDir::R, &ws.prim, &patch, edges, gas, radii, &mut ws.flux_bar, Some(&mut ws.src_bar), ledger);
     bc::fill_rflux_ghosts(&mut ws.flux_bar, nxl, nr, ledger);
 
-    let mut new_field = field.clone();
-    {
-        let Workspace { flux_bar, src_bar, qbar, .. } = ws;
-        par_update_r(
-            variant == Variant::L2,
-            true,
-            field,
-            Some(qbar),
-            flux_bar,
-            src_bar,
-            &mut new_field,
-            nxl,
-            nr,
-            lam,
-            dt,
-        );
-    }
+    par_update_r(variant == Variant::L2, Half::Corrector(&ws.qbar), &ws.flux_bar, &ws.src_bar, field, nxl, nr, lam, dt);
     ledger.update += (nxl * (nr - 1)) as u64 * (opcount::COST_CORRECTOR + 2);
-    std::mem::swap(field, &mut new_field);
 
     bc::farfield_top(field, gas, gas.pressure(1.0, cfg.jet.t_c), ledger);
 }
@@ -513,6 +487,28 @@ mod tests {
             shared.run(6);
             let d = serial.field.max_diff(&shared.field);
             assert_eq!(d, 0.0, "{regime:?}: shared-memory result must be bitwise identical, diff {d}");
+        }
+    }
+
+    #[test]
+    fn bitwise_serial_for_uneven_bands_and_both_step_parities() {
+        // 37 columns: no thread count below divides the 37-row prims/flux
+        // band or the 35-row x-update band (8 threads leave a chunk
+        // empty), and four steps run both operator orderings, so both
+        // in-place correctors run after both predictors
+        let grid = Grid::new(37, 15, 37.0, 5.0);
+        for regime in [Regime::Euler, Regime::NavierStokes] {
+            let cfg = SolverConfig::paper(grid.clone(), regime);
+            let mut serial = Solver::new(cfg.clone());
+            serial.run(4);
+            for threads in [1, 2, 3, 8] {
+                let mut shared = SharedSolver::new(cfg.clone(), threads);
+                shared.run(4);
+                for (a, b) in serial.field.q.iter().zip(&shared.field.q) {
+                    let same = a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(same, "{regime:?} T={threads}: shared field differs from serial V5");
+                }
+            }
         }
     }
 

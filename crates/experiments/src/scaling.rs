@@ -231,6 +231,34 @@ mod tests {
     }
 
     #[test]
+    fn committed_artifact_pins_the_comm_time_order_at_every_p() {
+        // the orderings EXPERIMENTS.md cites: on the fat tree the pencil
+        // beats both slabs at every P; on the torus the axial slab beats
+        // the pencil until P = 128
+        let data = parse(include_str!("../../../BENCH_scaling.json")).expect("committed BENCH_scaling.json");
+        assert!(!data.quick);
+        let grid = scaling_grid();
+        let comm = |platform: &str, (px, pr): (usize, usize)| {
+            data.cells
+                .iter()
+                .find(|c| c.platform == platform && (c.px, c.pr) == (px, pr))
+                .unwrap_or_else(|| panic!("{platform} {px}x{pr} missing"))
+                .comm_seconds
+        };
+        for p in [32, 64, 128] {
+            let [radial, axial, pencil] = shapes(p, &grid)[..] else { panic!("three shapes at P={p}") };
+            let fat = |s| comm("Fat-tree cluster", s);
+            assert!(fat(pencil) < fat(axial) && fat(axial) < fat(radial), "fat tree P={p}");
+            let torus = |s| comm("Torus cluster", s);
+            if p < 128 {
+                assert!(torus(axial) < torus(pencil) && torus(pencil) < torus(radial), "torus P={p}");
+            } else {
+                assert!(torus(pencil) < torus(axial) && torus(axial) < torus(radial), "torus P={p}");
+            }
+        }
+    }
+
+    #[test]
     fn factored_shape_is_near_square_on_the_square_grid() {
         let grid = scaling_grid();
         assert_eq!(shapes(64, &grid), vec![(1, 64), (64, 1), (8, 8)]);
